@@ -116,10 +116,11 @@ serve-smoke:
 	echo "serve-smoke: 2 concurrent clients byte-identical to the batch run"
 
 ## property: the randomized/fuzz-seeded equivalence suites in short mode —
-## packed-vs-hash store equivalence, freeze invariants, and the batched
-## lookup equivalence matrix.
+## packed-vs-hash store equivalence, freeze invariants, the batched lookup
+## equivalence matrix, the resumable-walk property (any schedule of pending
+## answers equals the blocking corrector) and the wave equivalence tests.
 property:
-	$(GO) test -short -count=1 -run 'Packed|Freeze|Frozen|Batched' ./internal/spectrum/ ./internal/core/
+	$(GO) test -short -count=1 -run 'Packed|Freeze|Frozen|Batched|Resumable|Wave' ./internal/spectrum/ ./internal/reptile/ ./internal/core/
 
 ## fuzz: the wire- and snapshot-decoder fuzz targets — each runs briefly
 ## past its golden seed corpus so CI catches decode panics and round-trip

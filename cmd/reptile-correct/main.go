@@ -56,8 +56,8 @@ func main() {
 		batch     = flag.Bool("batch-reads", false, "exchange spectra after every chunk (bounded reads tables)")
 		partial   = flag.Int("partial-replication", 0, "partial replication group size (0 = off)")
 
-		lookupBatch  = flag.Int("lookup-batch", 0, "coalesce up to this many remote lookups per request frame (0 = classic one-per-message protocol; output is identical either way)")
-		lookupWindow = flag.Int("lookup-window", 0, "in-flight batch frames per peer (0 = default window when -lookup-batch is on)")
+		lookupBatch  = flag.Int("lookup-batch", 0, "coalesce up to this many remote lookups per request frame; reads are then corrected in waves, a block's remote lookups resolved per round trip (0 = classic one-per-message protocol; output is identical either way)")
+		lookupWindow = flag.Int("lookup-window", 0, "in-flight batch frames per peer (0 = the default of 64 when -lookup-batch is on)")
 		workers      = flag.Int("workers", 0, "worker goroutines per rank, for both spectrum-build sharding and the correction pool (0/1 = single worker; >1 requires -lookup-batch; output is identical for every count)")
 		replicas     = flag.Int("replicas", 0, "frozen-spectrum replication degree: 2 places each rank's shard on its ring successor too, so a single rank crash during correction is survived instead of aborting (implies -lookup-batch 16 unless set)")
 		steal        = flag.Bool("steal", false, "correct-phase work stealing: idle ranks take whole chunks from loaded peers, output stays byte-identical (implies -lookup-batch 16 unless set)")

@@ -63,8 +63,8 @@ func main() {
 		chunk        = flag.Int("chunk", 4096, "reads per chunk (and per client frame in -client mode)")
 		noBal        = flag.Bool("no-balance", false, "disable static load balancing")
 		universal    = flag.Bool("universal", false, "universal message kind encoding")
-		lookupBatch  = flag.Int("lookup-batch", 0, "batch remote lookups into frames of up to this many ids (0 = off)")
-		lookupWindow = flag.Int("lookup-window", 0, "in-flight batch frames per peer (0 = default window when -lookup-batch is on)")
+		lookupBatch  = flag.Int("lookup-batch", 0, "batch remote lookups into frames of up to this many ids and correct each chunk in waves (0 = off)")
+		lookupWindow = flag.Int("lookup-window", 0, "in-flight batch frames per peer (0 = the default of 64 when -lookup-batch is on)")
 		workers      = flag.Int("workers", 0, "worker goroutines per rank (>1 requires -lookup-batch)")
 
 		cacheDir = flag.String("cache-dir", "", "spectrum-snapshot cache directory: a hit warm-loads the frozen spectra and skips construction")

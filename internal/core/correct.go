@@ -42,7 +42,7 @@ func (ctx *rankCtx) armCorrect() *residentPlane {
 	p.msgs0, p.bytes0 = ctx.e.Counters().PerDestSnapshot()
 	p.disp = ctx.newDispatcher()
 	if p.disp != nil {
-		ctx.plane = newPrefetchPlane(ctx.np)
+		ctx.plane = newPrefetchPlane(ctx.np, ctx.opts.Heuristics.LookupBatch)
 	}
 	if ctx.opts.WorkSteal {
 		ctx.steal = newStealSched(ctx.myReads, ctx.opts.Config.ChunkReads)
@@ -285,24 +285,48 @@ func (ctx *rankCtx) serveReplPush(m transport.Message) error {
 	return ctx.tolerateDeadPeer(msgplane.Send(ctx.e, m.From, tagReplAck, encodeReplAck(reqID)))
 }
 
+// defaultLookupWindow is the dispatcher's per-owner in-flight frame window
+// when Heuristics.LookupWindow is unset. A wave's flush issues a whole
+// block's frames before awaiting any, so the window — not the block — is
+// what bounds how much of a round is on the wire at once; the value comes
+// from the window sweep recorded in EXPERIMENTS.md.
+const defaultLookupWindow = 64
+
 // newDispatcher builds the rank's batch dispatcher, or nil when lookup
 // batching is off (the legacy one-at-a-time protocol stays in force).
 func (ctx *rankCtx) newDispatcher() *lookupDispatcher {
 	if ctx.opts.Heuristics.LookupBatch <= 0 {
 		return nil
 	}
-	return newLookupDispatcher(ctx.e, ctx.np, ctx.opts.Heuristics.LookupWindow)
+	window := ctx.opts.Heuristics.LookupWindow
+	if window == 0 {
+		window = defaultLookupWindow
+	}
+	return newLookupDispatcher(ctx.e, ctx.np, window)
 }
 
-// newOracle builds a correction oracle over the given stats shard. Every
-// worker gets its own oracle (the miss-filter scratch is worker-confined);
-// the dispatcher, the prefetch plane, and the spectra are shared.
-func (ctx *rankCtx) newOracle(st *stats.Rank, disp *lookupDispatcher, cacheMu *sync.RWMutex) *distOracle {
-	batch := 0
-	if disp != nil {
-		batch = ctx.opts.Heuristics.LookupBatch
-	}
-	return &distOracle{
+// waveBlock is how many reads one worker sweeps as a unit when lookups are
+// batched: every read of the block advances until it needs a remote id, the
+// block's staged ids travel in one combined flush, and the next sweep
+// resumes the suspended reads. Larger blocks mean fewer, fuller rounds; the
+// value comes from the block-size sweep recorded in EXPERIMENTS.md and
+// keeps one block's answers under maxPrefetchEntries.
+const waveBlock = 1024
+
+// corrWorker is one correction worker: its oracle (over its own stats
+// shard), its corrector, and the wave state of the block it is sweeping.
+// The dispatcher, the prefetch plane and the spectra behind the oracle are
+// shared with the rank's other workers.
+type corrWorker struct {
+	oracle *distOracle
+	c      *reptile.Corrector
+	walks  []reptile.Walk // one per read of the current block
+	live   []int32        // block indices of the reads still walking
+}
+
+// newWorker builds a correction worker counting into st.
+func (ctx *rankCtx) newWorker(st *stats.Rank, disp *lookupDispatcher, cacheMu *sync.RWMutex) (*corrWorker, error) {
+	oracle := &distOracle{
 		e:         ctx.e,
 		st:        st,
 		rank:      ctx.rank,
@@ -320,95 +344,159 @@ func (ctx *rankCtx) newOracle(st *stats.Rank, disp *lookupDispatcher, cacheMu *s
 		cacheTile: ctx.cacheTile,
 		groupSize: ctx.opts.Heuristics.PartialReplicationGroup,
 		disp:      disp,
-		batch:     batch,
-		plane:     ctx.plane,
 		cacheMu:   cacheMu,
 		rec:       ctx.rec,
 	}
+	if ctx.np > 1 && (ctx.replKmer == nil || ctx.replTile == nil) {
+		// Otherwise no lookup can leave the rank (one rank, or both spectra
+		// replicated): the worker takes the blocking loop and pays nothing
+		// for a wave that would never suspend.
+		oracle.plane = ctx.plane
+	}
+	c, err := reptile.NewCorrector(ctx.opts.Config, oracle)
+	if err != nil {
+		return nil, err
+	}
+	return &corrWorker{oracle: oracle, c: c}, nil
 }
 
-// correctPool corrects myReads with Heuristics.Workers worker goroutines
-// (the paper's plural "worker threads"; one when unset). Reads are
-// partitioned into contiguous blocks and each is corrected in place exactly
-// once against static spectra, so the corrected output is byte-identical
-// for every worker count. Lookup counters accumulate into per-worker shards
-// that are merged after the join, keeping the shared stats race-free.
-func (ctx *rankCtx) correctPool(myReads []reads.Read, disp *lookupDispatcher) (reptile.Result, error) {
-	nw := ctx.opts.Heuristics.Workers
-	if nw < 1 {
-		nw = 1
-	}
-	if nw == 1 {
-		oracle := ctx.newOracle(&ctx.st, disp, nil)
-		corrector, err := reptile.NewCorrector(ctx.opts.Config, oracle)
-		if err != nil {
-			return reptile.Result{}, err
-		}
-		var res reptile.Result
-		for i := range myReads {
-			res.Add(corrector.CorrectRead(&myReads[i]))
-			if oracle.err != nil {
-				return res, oracle.err
+// correct corrects rs in place — the one correction loop behind the worker
+// pool, stolen and reclaimed chunks, served session chunks and a dead
+// rank's estate. Under the legacy protocol every lookup blocks, so it is a
+// plain loop over the reads; with batching on it waves over rs a block at a
+// time.
+func (w *corrWorker) correct(rs []reads.Read) (reptile.Result, error) {
+	var res reptile.Result
+	if w.oracle.plane == nil {
+		for i := range rs {
+			res.Add(w.c.CorrectRead(&rs[i]))
+			if w.oracle.err != nil {
+				return res, w.oracle.err
 			}
 		}
 		return res, nil
 	}
+	for len(rs) > 0 {
+		n := min(len(rs), waveBlock)
+		if err := w.wave(rs[:n], &res); err != nil {
+			return res, err
+		}
+		rs = rs[n:]
+	}
+	return res, nil
+}
 
+// wave corrects one block: sweep every live read forward until it finishes
+// or suspends on a remote id, drain the plane once for the whole sweep,
+// and sweep what is left, until nothing is. Reads are independent against
+// the frozen spectra, so the order they finish in changes nothing.
+//
+// reptile-lint:hotpath
+func (w *corrWorker) wave(blk []reads.Read, res *reptile.Result) error {
+	plane := w.oracle.plane
+	plane.beginBlock()
+	defer plane.endBlock()
+	if cap(w.walks) < len(blk) {
+		w.walks = make([]reptile.Walk, len(blk))
+		w.live = make([]int32, len(blk))
+	}
+	walks, live := w.walks[:len(blk)], w.live[:len(blk)]
+	clear(walks)
+	for i := range live {
+		live[i] = int32(i)
+	}
+	for {
+		n := 0
+		for _, i := range live {
+			if !w.c.Advance(&blk[i], &walks[i]) {
+				live[n] = i
+				n++
+			}
+		}
+		if w.oracle.err != nil {
+			return w.oracle.err
+		}
+		if n == 0 {
+			break
+		}
+		live = live[:n]
+		if err := plane.drain(w.oracle); err != nil {
+			return err
+		}
+	}
+	for i := range walks {
+		res.Add(walks[i].Res)
+	}
+	return nil
+}
+
+// workerPool runs body on Heuristics.Workers correction workers (the
+// paper's plural "worker threads"; one when unset, run on the calling
+// goroutine) and joins them. Lookup counters accumulate into per-worker
+// shards merged after the join, keeping the shared stats race-free.
+func (ctx *rankCtx) workerPool(disp *lookupDispatcher, body func(w *corrWorker, idx, nw int) (reptile.Result, error)) (reptile.Result, error) {
+	nw := max(ctx.opts.Heuristics.Workers, 1)
 	// The reads tables are shared across workers; only the CacheRemote
 	// heuristic writes to them during correction, so only then do lookups
 	// need the cache lock.
 	var cacheMu *sync.RWMutex
-	if ctx.opts.Heuristics.CacheRemote {
+	if ctx.opts.Heuristics.CacheRemote && nw > 1 {
 		cacheMu = &sync.RWMutex{}
 	}
 	shards := make([]stats.Rank, nw)
 	results := make([]reptile.Result, nw)
 	errs := make([]error, nw)
-	var pool sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		lo, hi := len(myReads)*w/nw, len(myReads)*(w+1)/nw
-		pool.Add(1)
-		go func(w, lo, hi int) {
-			defer pool.Done()
-			oracle := ctx.newOracle(&shards[w], disp, cacheMu)
-			corrector, err := reptile.NewCorrector(ctx.opts.Config, oracle)
-			if err != nil {
-				errs[w] = err
-				return
-			}
-			for i := lo; i < hi; i++ {
-				results[w].Add(corrector.CorrectRead(&myReads[i]))
-				if oracle.err != nil {
-					errs[w] = oracle.err
-					return
-				}
-			}
-		}(w, lo, hi)
+	run := func(idx int) {
+		w, err := ctx.newWorker(&shards[idx], disp, cacheMu)
+		if err == nil {
+			results[idx], err = body(w, idx, nw)
+		}
+		errs[idx] = err
 	}
-	// A worker that fails holds a transport error, which the router sees
-	// on the same endpoint: its failure path poisons the dispatcher, so no
-	// sibling stays parked on a batch future and the join cannot hang.
-	pool.Wait()
+	if nw == 1 {
+		run(0)
+	} else {
+		// A worker that fails holds a transport error, which the router sees
+		// on the same endpoint: its failure path poisons the dispatcher, so no
+		// sibling stays parked on a batch future and the join cannot hang.
+		var pool sync.WaitGroup
+		for idx := 0; idx < nw; idx++ {
+			pool.Add(1)
+			go func(idx int) {
+				defer pool.Done()
+				run(idx)
+			}(idx)
+		}
+		pool.Wait()
+	}
 
-	var res reptile.Result
-	for w := 0; w < nw; w++ {
-		res.Add(results[w])
-		ctx.st.AddLookups(&shards[w])
-	}
 	// Workers fail together when a peer dies: the one whose send drew the
 	// fault holds the root cause, its siblings wake with the derived
 	// teardown error (ErrClosed) from the poisoned dispatcher. Surface the
 	// root cause regardless of worker index.
+	var res reptile.Result
 	var werr error
-	for w := 0; w < nw; w++ {
-		if errs[w] == nil {
+	for idx := 0; idx < nw; idx++ {
+		res.Add(results[idx])
+		ctx.st.AddLookups(&shards[idx])
+		if errs[idx] == nil {
 			continue
 		}
-		if werr == nil || (errors.Is(werr, transport.ErrClosed) && !errors.Is(errs[w], transport.ErrClosed)) {
-			werr = errs[w]
+		if werr == nil || (errors.Is(werr, transport.ErrClosed) && !errors.Is(errs[idx], transport.ErrClosed)) {
+			werr = errs[idx]
 		}
 	}
 	return res, werr
+}
+
+// correctPool corrects myReads on the worker pool. Reads are partitioned
+// into contiguous sub-ranges, one per worker, and each is corrected in
+// place exactly once against static spectra, so the corrected output is
+// byte-identical for every worker count.
+func (ctx *rankCtx) correctPool(myReads []reads.Read, disp *lookupDispatcher) (reptile.Result, error) {
+	return ctx.workerPool(disp, func(w *corrWorker, idx, nw int) (reptile.Result, error) {
+		return w.correct(myReads[len(myReads)*idx/nw : len(myReads)*(idx+1)/nw])
+	})
 }
 
 // finishCorrectStats records the correction phase's communication and
@@ -473,15 +561,18 @@ func (ctx *rankCtx) serveBatch(m transport.Message) error {
 	if err != nil {
 		return err
 	}
-	answers := make([]batchAnswer, len(ids))
-	for i := range ids {
-		store, err := ctx.lookupStore(kind, ids[i])
+	// The router goroutine is the only caller, and the encoder copies the
+	// answers into the frame, so one scratch slice serves every request.
+	answers := ctx.batchAns[:0]
+	for _, id := range ids {
+		store, err := ctx.lookupStore(kind, id)
 		if err != nil {
 			return err
 		}
-		cnt, ok := store.Count(ids[i])
-		answers[i] = batchAnswer{Count: cnt, Exists: ok}
+		cnt, ok := store.Count(id)
+		answers = append(answers, batchAnswer{Count: cnt, Exists: ok})
 	}
+	ctx.batchAns = answers
 	ctx.st.RequestsServed += int64(len(ids))
 	return ctx.tolerateDeadPeer(msgplane.Send(ctx.e, m.From, tagBatchResp, encodeBatchResp(reqID, answers)))
 }

@@ -64,9 +64,12 @@ type rankCtx struct {
 	snapPath   string
 	snapLoaded bool
 
-	// plane is the rank-wide prefetch accumulator shared by every correction
-	// worker (nil unless lookup batching is on); created by correctDriver.
+	// plane is the rank-wide prefetch plane shared by every correction
+	// worker (nil unless lookup batching is on); created by armCorrect.
 	plane *prefetchPlane
+	// batchAns is serveBatch's answer scratch, touched only by the router
+	// goroutine.
+	batchAns []batchAnswer
 
 	// res accumulates the correct step's totals for the pipeline epilogue.
 	res reptile.Result

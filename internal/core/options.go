@@ -67,7 +67,8 @@ type Heuristics struct {
 	// messaging. 0 or 1 disables it.
 	PartialReplicationGroup int
 
-	// LookupBatch enables the batched remote-lookup pipeline: remote misses
+	// LookupBatch enables the batched remote-lookup pipeline: reads are
+	// corrected in waves (DESIGN.md §18) and a whole block's remote misses
 	// are coalesced per owner rank into tagBatchReq frames of up to this
 	// many ids (software message aggregation, as in diBELLA). 0 keeps the
 	// paper's one-request-per-id protocol. The corrected output is
@@ -75,8 +76,8 @@ type Heuristics struct {
 	LookupBatch int
 
 	// LookupWindow bounds how many unanswered batch frames one rank may
-	// hold in flight at a single peer — the pipeline depth. 0 means the
-	// default window when batching is on; ignored otherwise.
+	// hold in flight at a single peer — the pipeline depth. 0 means
+	// defaultLookupWindow when batching is on; ignored otherwise.
 	LookupWindow int
 
 	// Workers sizes the per-rank thread pools (the paper's "worker

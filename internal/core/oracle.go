@@ -12,23 +12,6 @@ import (
 	"reptile/internal/transport"
 )
 
-// maxPrefetchEntries bounds the prefetch buffer. Entries never go stale —
-// the global spectra are static during Step IV — so the cap only bounds
-// memory; on overflow the buffer is simply cleared and refilled.
-const maxPrefetchEntries = 1 << 16
-
-// preKey identifies one prefetched lookup.
-type preKey struct {
-	kind byte
-	id   kmer.ID
-}
-
-// preVal is one prefetched answer, exactly as the owner sent it.
-type preVal struct {
-	cnt    uint32
-	exists bool
-}
-
 // distOracle resolves spectrum lookups for the corrector during Step IV,
 // implementing the paper's lookup chain: owned table → replicated/group
 // copy → retained reads table (with resolved global counts) → message to
@@ -65,14 +48,11 @@ type distOracle struct {
 	// access is serialized by cacheMu.
 	cacheKmer, cacheTile *spectrum.HashStore
 
-	// Batched-lookup state, nil/zero when Heuristics.LookupBatch == 0. The
+	// Batched-lookup state, nil when Heuristics.LookupBatch == 0: the
 	// dispatcher and the prefetch plane (the rank-wide answers map and
-	// per-owner accumulator) are shared by every worker of the rank; only
-	// the miss-filter scratch is this worker's own.
-	disp    *lookupDispatcher
-	batch   int
-	plane   *prefetchPlane
-	preMiss []kmer.ID // scratch: the genuinely-remote subset of one hint
+	// per-owner staging lists), both shared by every worker of the rank.
+	disp  *lookupDispatcher
+	plane *prefetchPlane
 	// cacheMu serializes reads-table access when several workers share the
 	// tables under the CacheRemote heuristic; nil in single-worker runs.
 	cacheMu *sync.RWMutex
@@ -95,102 +75,124 @@ func (o *distOracle) TileCount(id kmer.ID) (uint32, bool) {
 	return o.lookup(kindTile, id)
 }
 
-// PrefetchKmers implements reptile.Prefetcher.
-func (o *distOracle) PrefetchKmers(ids []kmer.ID) { o.prefetch(kindKmer, ids) }
+// PeekKmer implements reptile.Prefetcher.
+func (o *distOracle) PeekKmer(id kmer.ID) (uint32, bool, bool) { return o.peek(kindKmer, id) }
 
-// PrefetchTiles implements reptile.Prefetcher.
-func (o *distOracle) PrefetchTiles(ids []kmer.ID) { o.prefetch(kindTile, ids) }
+// PeekTile implements reptile.Prefetcher.
+func (o *distOracle) PeekTile(id kmer.ID) (uint32, bool, bool) { return o.peek(kindTile, id) }
 
-func (o *distOracle) lookup(kind byte, id kmer.ID) (uint32, bool) {
+// Where the lookup chain found an answer.
+const (
+	srcRemote = iota // nowhere on this rank: only the owner can say
+	srcLocal         // a store whose answer, hit or miss, is definitive
+	srcReads         // the retained reads table (the CacheRemote cache)
+)
+
+// local walks the links of the lookup chain that need no message — owned
+// table, replica, group copy, reads table — without touching a counter.
+//
+// reptile-lint:hotpath
+func (o *distOracle) local(kind byte, id kmer.ID) (cnt uint32, exists bool, src int) {
 	repl := o.replKmer
-	own, group, reads, cache := o.ownKmer, o.groupKmer, o.readsKmer, o.cacheKmer
+	own, group, reads := o.ownKmer, o.groupKmer, o.readsKmer
 	if kind == kindTile {
-		repl, own, group, reads, cache = o.replTile, o.ownTile, o.groupTile, o.readsTile, o.cacheTile
+		repl, own, group, reads = o.replTile, o.ownTile, o.groupTile, o.readsTile
 	}
-
 	if repl != nil {
-		o.countLocal(kind)
-		return repl.Count(id)
+		cnt, exists = repl.Count(id)
+		return cnt, exists, srcLocal
 	}
-
 	owner := kmer.Owner(id, o.np)
 	if owner == o.rank {
-		o.countLocal(kind)
-		return own.Count(id) // a miss here is definitive
+		cnt, exists = own.Count(id) // a miss here is definitive
+		return cnt, exists, srcLocal
 	}
-
 	if o.rec != nil {
 		if s := o.rec.replicaStore(kind, owner); s != nil {
 			// The held R=2 copy is an exact slab image of the owner's frozen
 			// store, so a miss is as definitive as the owner's own answer.
-			o.countLocal(kind)
-			return s.Count(id)
+			cnt, exists = s.Count(id)
+			return cnt, exists, srcLocal
 		}
 	}
-
 	if group != nil && owner/o.groupSize == o.rank/o.groupSize {
 		// The group copy is the complete owned spectrum of every group
 		// member, so a miss is definitive too.
-		o.countLocal(kind)
-		return group.Count(id)
+		cnt, exists = group.Count(id)
+		return cnt, exists, srcLocal
 	}
-
 	if reads != nil {
 		if cnt, ok := o.cachedCount(reads, id); ok {
-			o.countLocal(kind)
-			if cnt == 0 {
-				return 0, false // resolved known-absent
-			}
-			if o.h.CacheRemote {
-				o.st.CacheHits++
-			}
-			return cnt, true
+			return cnt, cnt != 0, srcReads // count 0 records a resolved "does not exist"
 		}
 	}
+	return 0, false, srcRemote
+}
 
-	// A prefetched answer resolves the lookup without a round trip — from
-	// the rank-wide plane, so an id any worker fetched answers every
-	// worker. The stats and cache effects are applied at consume time,
-	// exactly as a live round trip would — this is what keeps a batched
-	// run's counters equal to the unbatched run's.
+// lookup is one consumed lookup: it answers, and it applies the lookup's
+// statistics and cache effects. With batching on, a remote id's answer must
+// already sit in the prefetch plane — the corrector peeks (and thereby
+// stages) every id before it commits to looking it up — and those effects
+// are applied here, at consume time, exactly as a live round trip's would
+// be; this is what keeps a batched run's counters equal to the unbatched
+// run's.
+func (o *distOracle) lookup(kind byte, id kmer.ID) (uint32, bool) {
+	cnt, exists, src := o.local(kind, id)
+	if src != srcRemote {
+		o.countLocal(kind)
+		if src == srcReads && exists && o.h.CacheRemote {
+			o.st.CacheHits++
+		}
+		return cnt, exists
+	}
 	if o.plane != nil {
-		if v, ok := o.plane.answer(kind, id); ok {
-			o.finishRemote(kind, id, v.cnt, v.exists, cache)
-			return v.cnt, v.exists
+		v, ok := o.plane.answer(kind, id)
+		if !ok {
+			if o.err == nil {
+				o.err = fmt.Errorf("core: rank %d consumed a remote lookup (kind %d, id %d) that was never fetched", o.rank, kind, id)
+			}
+			return 0, false
 		}
+		o.finishRemote(kind, id, v.cnt, v.exists)
+		return v.cnt, v.exists
 	}
-
-	// Remote round trip to the owner's communication thread.
-	var (
-		cnt    uint32
-		exists bool
-		err    error
-	)
-	if o.disp != nil {
-		cnt, exists, err = o.remoteBatched(kind, id, owner)
-	} else {
-		cnt, exists, err = o.remote(kind, id, owner)
-	}
+	// The legacy protocol: one round trip to the owner's communication
+	// thread per lookup.
+	cnt, exists, err := o.remote(kind, id, kmer.Owner(id, o.np))
 	if err != nil {
 		if o.err == nil {
 			o.err = err
 		}
 		return 0, false
 	}
-	o.finishRemote(kind, id, cnt, exists, cache)
+	o.finishRemote(kind, id, cnt, exists)
 	return cnt, exists
+}
+
+// peek answers a lookup without consuming it: no counters, no cache write,
+// no blocking. An id only its owner can answer is staged in the plane for
+// the worker's next drain and reported not ready.
+func (o *distOracle) peek(kind byte, id kmer.ID) (cnt uint32, exists, ready bool) {
+	cnt, exists, src := o.local(kind, id)
+	if src != srcRemote {
+		return cnt, exists, true
+	}
+	v, ok := o.plane.stage(kind, id)
+	return v.cnt, v.exists, ok
 }
 
 // finishRemote applies the statistics and cache effects of one resolved
 // remote lookup — identical whether the answer came over a legacy round
-// trip, a batch-of-one frame, or the prefetch buffer. The cache write goes
-// through the mutable table handle; the frozen read-side view sees it
-// because they are the same store under CacheRemote.
-func (o *distOracle) finishRemote(kind byte, id kmer.ID, cnt uint32, exists bool, cache *spectrum.HashStore) {
+// trip or out of the prefetch plane. The cache write goes through the
+// mutable table handle; the frozen read-side view sees it because they are
+// the same store under CacheRemote.
+func (o *distOracle) finishRemote(kind byte, id kmer.ID, cnt uint32, exists bool) {
+	cache := o.cacheKmer
 	if kind == kindKmer {
 		o.st.KmerLookupsRemote++
 	} else {
 		o.st.TileLookupsRemote++
+		cache = o.cacheTile
 	}
 	if !exists {
 		o.st.RemoteMisses++
@@ -226,67 +228,6 @@ func (o *distOracle) countLocal(kind byte) {
 	} else {
 		o.st.TileLookupsLocal++
 	}
-}
-
-// prefetch hands the genuinely-remote subset of ids to the shared plane:
-// walk the local chain silently (no counters — the real lookups count when
-// they consume), then stage the misses for a combined flush with every
-// sibling worker's misses. Returns once the plane has answers for all of
-// them.
-func (o *distOracle) prefetch(kind byte, ids []kmer.ID) {
-	if o.plane == nil || o.disp == nil || o.batch <= 0 || o.err != nil || len(ids) == 0 {
-		return
-	}
-	var repl spectrum.Lookuper = o.replKmer
-	group, reads := o.groupKmer, o.readsKmer
-	if kind == kindTile {
-		repl, group, reads = o.replTile, o.groupTile, o.readsTile
-	}
-	if repl != nil {
-		return // every lookup of this kind is local
-	}
-
-	o.preMiss = o.preMiss[:0]
-	for _, id := range ids {
-		owner := kmer.Owner(id, o.np)
-		if owner == o.rank {
-			continue
-		}
-		if group != nil && owner/o.groupSize == o.rank/o.groupSize {
-			continue
-		}
-		if o.rec != nil && o.rec.replicaStore(kind, owner) != nil {
-			continue // the held replica answers these locally at lookup time
-		}
-		if reads != nil {
-			if _, ok := o.cachedCount(reads, id); ok {
-				continue
-			}
-		}
-		o.preMiss = append(o.preMiss, id)
-	}
-	if len(o.preMiss) == 0 {
-		return
-	}
-	if err := o.plane.resolve(o, kind, o.preMiss); err != nil && o.err == nil {
-		o.err = err
-	}
-}
-
-// remoteBatched resolves one id through the dispatcher as a batch of one —
-// the slow path for ids the prefetcher could not anticipate (repairs
-// rewrite downstream tiles; k-mer confirmations only run for the rare
-// candidates whose tile is solid).
-func (o *distOracle) remoteBatched(kind byte, id kmer.ID, owner int) (uint32, bool, error) {
-	one := [1]kmer.ID{id}
-	answers, err := o.batchLookup(kind, one[:], owner)
-	if err != nil {
-		return 0, false, err
-	}
-	if len(answers) != 1 {
-		return 0, false, fmt.Errorf("core: batch of 1 id answered with %d entries", len(answers))
-	}
-	return answers[0].Count, answers[0].Exists, nil
 }
 
 // batchLookup issues one batch frame to the rank currently serving owner's

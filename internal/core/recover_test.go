@@ -144,6 +144,57 @@ func TestRecoverCrashWithoutReplicasAborts(t *testing.T) {
 	}
 }
 
+// TestRecoverCrashMidDrain kills a shard owner while its peers' waves are
+// mid-drain: thin frames (LookupBatch=4) and a two-worker pool keep dozens
+// of frames on the wire per flush, and the crash ordinals land after the
+// dead rank has answered part of a round. With replicas the flush leader
+// reroutes every frame the death swallowed and the wave completes
+// byte-identically; without them no read may be left suspended — every rank
+// aborts, attributing the dead rank.
+func TestRecoverCrashMidDrain(t *testing.T) {
+	ds, opts := testDataset(t, 1200, 8700)
+	opts.Heuristics.LookupBatch = 4
+	opts.Heuristics.Workers = 2
+	ropts := opts
+	ropts.Replicas = 2
+	base, err := Run(&MemorySource{Reads: ds.Reads}, 3, ropts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failovers := int64(0)
+	for _, after := range []int64{20, 60, 150} {
+		plan := crashCorrectPlan(chaosSeeds(t)[len(chaosSeeds(t))-1])
+		plan.CrashAfter = after
+		plan.Jitter = 20 * time.Microsecond
+
+		o := ropts
+		o.Chaos = &plan
+		var out *Output
+		if err := awaitRun(t, "recovered run", func() error {
+			var err error
+			out, err = Run(&MemorySource{Reads: ds.Reads}, 3, o)
+			return err
+		}); err != nil {
+			t.Fatalf("crash at send %d was not recovered: %v", after, err)
+		}
+		sameOutput(t, "crash mid-drain", base, out)
+		failovers += out.Run.Sum(func(r *stats.Rank) int64 { return r.FailoversTaken })
+
+		for r, err := range runChaosRanks(t, ds.Reads, 3, opts, plan) {
+			var ab *AbortError
+			if !errors.As(err, &ab) {
+				t.Fatalf("crash at send %d, no replicas: rank %d returned %v, want an AbortError", after, r, err)
+			}
+			if ab.Rank != 1 {
+				t.Errorf("crash at send %d: rank %d attributes the abort to rank %d, want the dead rank 1", after, r, ab.Rank)
+			}
+		}
+	}
+	if failovers == 0 {
+		t.Error("no lookup frame was ever rerouted: the crashes missed the drains")
+	}
+}
+
 // TestRecoverCrashDuringBuildStillAborts: replicas only exist once the
 // frozen spectra have been exchanged, so a crash during construction is
 // unrecoverable by design and must abort exactly as before — replicas armed

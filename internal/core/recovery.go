@@ -466,18 +466,16 @@ func (ctx *rankCtx) correctEstate(dead int, res *reptile.Result, disp *lookupDis
 		return err
 	}
 	var shard stats.Rank
-	oracle := ctx.newOracle(&shard, disp, nil)
-	corrector, err := reptile.NewCorrector(ctx.opts.Config, oracle)
+	w, err := ctx.newWorker(&shard, disp, nil)
 	if err != nil {
 		return err
 	}
-	for i := range estate {
-		res.Add(corrector.CorrectRead(&estate[i]))
-		if oracle.err != nil {
-			return oracle.err
-		}
-	}
+	r, err := w.correct(estate)
+	res.Add(r)
 	ctx.st.AddLookups(&shard)
+	if err != nil {
+		return err
+	}
 	ctx.st.ReadsRecovered += int64(len(estate))
 	ctx.myReads = append(ctx.myReads, estate...)
 	return rt.AnnounceDoneFor(dead)

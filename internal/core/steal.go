@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -9,7 +8,6 @@ import (
 	"reptile/internal/reads"
 	"reptile/internal/reptile"
 	"reptile/internal/stats"
-	"reptile/internal/transport"
 )
 
 // span is one correction chunk: a half-open index range into the rank's
@@ -174,61 +172,22 @@ type stealGrantMsg struct {
 // settles its own loans. Chunk-id write-back keeps the corrected output
 // byte-identical to the non-stealing run.
 func (ctx *rankCtx) correctPoolSteal(disp *lookupDispatcher) (reptile.Result, error) {
-	nw := ctx.opts.Heuristics.Workers
-	if nw < 1 {
-		nw = 1
-	}
-	var cacheMu *sync.RWMutex
-	if ctx.opts.Heuristics.CacheRemote && nw > 1 {
-		cacheMu = &sync.RWMutex{}
-	}
-	shards := make([]stats.Rank, nw)
-	results := make([]reptile.Result, nw)
-	errs := make([]error, nw)
-	var pool sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		pool.Add(1)
-		go func(w int) {
-			defer pool.Done()
-			oracle := ctx.newOracle(&shards[w], disp, cacheMu)
-			corrector, err := reptile.NewCorrector(ctx.opts.Config, oracle)
+	res, err := ctx.workerPool(disp, func(w *corrWorker, _, _ int) (reptile.Result, error) {
+		var res reptile.Result
+		for {
+			sp, ok := ctx.steal.next()
+			if !ok {
+				return res, nil
+			}
+			r, err := w.correct(ctx.steal.reads[sp.lo:sp.hi])
+			res.Add(r)
 			if err != nil {
-				errs[w] = err
-				return
+				return res, err
 			}
-			for {
-				sp, ok := ctx.steal.next()
-				if !ok {
-					return
-				}
-				for i := sp.lo; i < sp.hi; i++ {
-					results[w].Add(corrector.CorrectRead(&ctx.steal.reads[i]))
-					if oracle.err != nil {
-						errs[w] = oracle.err
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	pool.Wait()
-
-	var res reptile.Result
-	for w := 0; w < nw; w++ {
-		res.Add(results[w])
-		ctx.st.AddLookups(&shards[w])
-	}
-	var werr error
-	for w := 0; w < nw; w++ {
-		if errs[w] == nil {
-			continue
 		}
-		if werr == nil || (errors.Is(werr, transport.ErrClosed) && !errors.Is(errs[w], transport.ErrClosed)) {
-			werr = errs[w]
-		}
-	}
-	if werr != nil {
-		return res, werr
+	})
+	if err != nil {
+		return res, err
 	}
 	if err := ctx.stealLoop(disp, &res); err != nil {
 		return res, err
@@ -247,8 +206,7 @@ func (ctx *rankCtx) stealLoop(disp *lookupDispatcher, res *reptile.Result) error
 		return nil
 	}
 	var shard stats.Rank
-	oracle := ctx.newOracle(&shard, disp, nil)
-	corrector, err := reptile.NewCorrector(ctx.opts.Config, oracle)
+	w, err := ctx.newWorker(&shard, disp, nil)
 	if err != nil {
 		return err
 	}
@@ -273,11 +231,10 @@ func (ctx *rankCtx) stealLoop(disp *lookupDispatcher, res *reptile.Result) error
 				continue
 			}
 			stole = true
-			for i := range g.rs {
-				res.Add(corrector.CorrectRead(&g.rs[i]))
-				if oracle.err != nil {
-					return oracle.err
-				}
+			r, err := w.correct(g.rs)
+			res.Add(r)
+			if err != nil {
+				return err
 			}
 			ctx.st.ChunksStolen++
 			if err := msgplane.Send(ctx.e, victim, tagStealReturn, encodeStealReturn(g.chunk, g.rs)); err != nil {
@@ -320,33 +277,24 @@ func (ctx *rankCtx) stealFrom(rc *msgplane.Caller, victim int) (*stealGrantMsg, 
 // reclaimed chunk (a dead thief's) inline.
 func (ctx *rankCtx) stealSettle(disp *lookupDispatcher, res *reptile.Result) error {
 	var (
-		shard     stats.Rank
-		oracle    *distOracle
-		corrector *reptile.Corrector
+		shard stats.Rank
+		w     *corrWorker
 	)
+	defer ctx.st.AddLookups(&shard)
 	for {
 		sp, ok, err := ctx.steal.drain()
-		if err != nil {
+		if err != nil || !ok {
 			return err
 		}
-		if !ok {
-			if oracle != nil {
-				ctx.st.AddLookups(&shard)
-			}
-			return nil
-		}
-		if corrector == nil {
-			oracle = ctx.newOracle(&shard, disp, nil)
-			corrector, err = reptile.NewCorrector(ctx.opts.Config, oracle)
-			if err != nil {
+		if w == nil {
+			if w, err = ctx.newWorker(&shard, disp, nil); err != nil {
 				return err
 			}
 		}
-		for i := sp.lo; i < sp.hi; i++ {
-			res.Add(corrector.CorrectRead(&ctx.steal.reads[i]))
-			if oracle.err != nil {
-				return oracle.err
-			}
+		r, err := w.correct(ctx.steal.reads[sp.lo:sp.hi])
+		res.Add(r)
+		if err != nil {
+			return err
 		}
 	}
 }

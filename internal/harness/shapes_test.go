@@ -194,10 +194,11 @@ func TestShapeMemoryFallsWithRanks(t *testing.T) {
 	}
 }
 
-// The lookup experiment's claim: coalescing remote lookups cuts the
-// correction-phase request messages at least 2x against the unbatched
-// protocol, with identical output (the experiment itself fails the run if
-// the corrected bases drift between modes).
+// The lookup experiment's claim: wavefront correction cuts the
+// correction-phase request messages at least 15x against the unbatched
+// protocol at batch=32, in frames at least half full, with identical output
+// (the experiment itself fails the run if the corrected bases drift between
+// modes, or if the worker pool falls more than 10% behind one worker).
 func TestShapeLookup_BatchingCutsMessages(t *testing.T) {
 	if testing.Short() {
 		t.Skip("four engine runs")
@@ -221,7 +222,10 @@ func TestShapeLookup_BatchingCutsMessages(t *testing.T) {
 			t.Errorf("%s: no batch frames recorded", row[0])
 		}
 	}
-	if r := reduction(tab.Rows[2]); r < 2.0 {
-		t.Errorf("batch=32 reduced messages only %.2fx, want >= 2x", r)
+	if r := reduction(tab.Rows[2]); r < 15.0 {
+		t.Errorf("batch=32 reduced messages only %.2fx, want >= 15x", r)
+	}
+	if perFrame, err := strconv.ParseFloat(tab.Rows[2][4], 64); err != nil || perFrame < 16 {
+		t.Errorf("batch=32 ids/frame cell %q, want >= 16", tab.Rows[2][4])
 	}
 }

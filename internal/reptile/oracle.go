@@ -17,17 +17,18 @@ type Oracle interface {
 	TileCount(id kmer.ID) (count uint32, ok bool)
 }
 
-// Prefetcher is an optional Oracle extension: an oracle that resolves
-// misses over a message-passing layer can batch-resolve a set of ids it is
-// about to be asked for, so the subsequent KmerCount/TileCount calls are
-// answered from a local buffer instead of one synchronous round trip each.
-// Prefetching is purely a latency/message-count hint — the corrector's
-// results must be identical whether or not the oracle implements it, and
-// the oracle may ignore any or all hinted ids. The id slices are scratch
-// buffers; implementations must not retain them.
+// Prefetcher is an optional Oracle extension for an oracle whose answers
+// may be a message round trip away. PeekKmer/PeekTile answer exactly as
+// KmerCount/TileCount would, but never block and have no side effects (no
+// statistics, no cache writes). ready=false means the answer is not on this
+// side of the wire yet: the oracle has staged the id, and whoever drives the
+// corrector has it fetch everything staged before calling Advance again. An
+// id that peeked ready stays ready until the walk that peeked it has
+// performed the lookup (Corrector.Advance commits a tile's lookups through
+// KmerCount/TileCount once the whole tile is ready).
 type Prefetcher interface {
-	PrefetchKmers(ids []kmer.ID)
-	PrefetchTiles(ids []kmer.ID)
+	PeekKmer(id kmer.ID) (count uint32, ok, ready bool)
+	PeekTile(id kmer.ID) (count uint32, ok, ready bool)
 }
 
 // LocalOracle serves counts from in-memory stores; the replicated-spectrum

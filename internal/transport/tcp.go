@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -47,6 +48,11 @@ const (
 // maxFrame bounds a single payload; collectives chunk beneath this.
 const maxFrame = 1 << 30
 
+// readBufBytes sizes a reader goroutine's buffer: a burst of small frames
+// (a wave's lookup answers are tens of bytes each) drains in one read(2)
+// instead of two per frame. Payloads larger than the buffer bypass it.
+const readBufBytes = 64 << 10
+
 // tcpPeer is one live connection with a serialized writer.
 type tcpPeer struct {
 	mu   sync.Mutex
@@ -55,30 +61,39 @@ type tcpPeer struct {
 	// the next outgoing frame after its CRC has been computed, so the
 	// corruption is detectable on the receive side. One-shot.
 	corruptNext bool // guarded by mu
+	// Gather-write scratch: the frame header and the two-slice vector that
+	// hands header and payload to one writev without copying the payload.
+	hdr  [frameHeader]byte // guarded by mu
+	vec  [2][]byte         // guarded by mu
+	bufs net.Buffers       // guarded by mu
 }
 
 func (p *tcpPeer) write(tag int, data []byte, timeout time.Duration) error {
-	buf := make([]byte, frameHeader+len(data))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(int32(tag)))
-	binary.LittleEndian.PutUint32(buf[4:8], uint32(len(data)))
-	copy(buf[frameHeader:], data)
-	crc := crc32.ChecksumIEEE(buf[0:crcOffset])
-	crc = crc32.Update(crc, crc32.IEEETable, data)
-	binary.LittleEndian.PutUint32(buf[crcOffset:frameHeader], crc)
+	var pre [crcOffset]byte
+	binary.LittleEndian.PutUint32(pre[0:4], uint32(int32(tag)))
+	binary.LittleEndian.PutUint32(pre[4:8], uint32(len(data)))
+	crc := crc32.Update(crc32.ChecksumIEEE(pre[:]), crc32.IEEETable, data)
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	copy(p.hdr[:crcOffset], pre[:])
+	binary.LittleEndian.PutUint32(p.hdr[crcOffset:], crc)
 	if p.corruptNext {
 		p.corruptNext = false
 		if len(data) > 0 {
-			buf[frameHeader] ^= 0xff
+			// The payload is the caller's; corrupt a copy.
+			data = append([]byte(nil), data...)
+			data[0] ^= 0xff
 		} else {
-			buf[0] ^= 0xff
+			p.hdr[0] ^= 0xff
 		}
 	}
 	if timeout > 0 {
 		p.conn.SetWriteDeadline(time.Now().Add(timeout))
 	}
-	_, err := p.conn.Write(buf)
+	p.vec[0], p.vec[1] = p.hdr[:], data
+	p.bufs = p.vec[:]
+	_, err := p.bufs.WriteTo(p.conn)
+	p.vec[1] = nil // do not pin the caller's payload
 	return err
 }
 
@@ -318,11 +333,12 @@ func (e *Endpoint) peerFailed(from int, cause error) {
 
 func readLoop(e *Endpoint, from int, conn net.Conn, peerTimeout time.Duration) {
 	var hdr [frameHeader]byte
+	br := bufio.NewReaderSize(conn, readBufBytes)
 	for {
 		if peerTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(peerTimeout))
 		}
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			e.peerFailed(from, err)
 			return
 		}
@@ -336,7 +352,7 @@ func readLoop(e *Endpoint, from int, conn net.Conn, peerTimeout time.Duration) {
 			return
 		}
 		data := make([]byte, n)
-		if _, err := io.ReadFull(conn, data); err != nil {
+		if _, err := io.ReadFull(br, data); err != nil {
 			e.peerFailed(from, err)
 			return
 		}
